@@ -81,14 +81,18 @@ class DeliveryAudit:
     """Exactly-once verdict, computed from the logs, not the claim.
 
     ``unique_delivered`` counts distinct (station, timestamp) records in
-    the UCSB telemetry logs; ``duplicates`` is everything beyond that;
-    ``lost`` is how many *completed* sends never show up. A send still in
-    flight at run end (committed server-side but unacknowledged) is not a
-    completion and cannot be counted lost.
+    the UCSB telemetry logs, plus the records the log ring has already
+    evicted (``evicted``: every seqno before the retained window, which
+    was committed and therefore delivered); ``duplicates`` counts repeats
+    within the retained window; ``lost`` is how many *completed* sends
+    never show up. A send still in flight at run end (committed
+    server-side but unacknowledged) is not a completion and cannot be
+    counted lost.
     """
 
     completed_sends: int = 0
     records_in_log: int = 0
+    evicted: int = 0
     unique_delivered: int = 0
     duplicates: int = 0
     lost: int = 0
@@ -102,6 +106,7 @@ class DeliveryAudit:
         return {
             "completed_sends": self.completed_sends,
             "records_in_log": self.records_in_log,
+            "evicted": self.evicted,
             "unique_delivered": self.unique_delivered,
             "duplicates": self.duplicates,
             "lost": self.lost,
@@ -122,9 +127,13 @@ def audit_delivery(fabric: "XGFabric") -> DeliveryAudit:
             rec = TelemetryRecord.from_bytes(entry.payload)
             seen.add((rec.station_id, rec.time_s))
             entries += 1
+        # Seqnos before the retained window were appended, then overwritten
+        # by the ring: delivered, but no longer checkable for duplicates.
+        evicted = max(0, log.earliest_seqno - 1)
         audit.records_in_log += entries
+        audit.evicted += evicted
         audit.duplicates += entries - len(seen)
-        unique_total += len(seen)
+        unique_total += len(seen) + evicted
         audit.per_station[station.station_id] = entries
     audit.unique_delivered = unique_total
     audit.lost = max(0, audit.completed_sends - unique_total)

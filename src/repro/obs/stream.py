@@ -90,6 +90,50 @@ def _exact_chunk_heads(values: list[float]) -> list[float]:
     return heads
 
 
+#: ``add_array`` calls with fewer values than this sum by exponent bucket:
+#: every per-exponent sum of 27-bit mantissa halves then stays below 2**53,
+#: so float64 accumulates it exactly.
+_BUCKET_SUM_MAX_VALUES = 1 << 25
+#: ``np.frexp`` exponent window of the bucketed sum. From the smallest
+#: normal exponent up, every rebuilt bucket sum is an exact double (below
+#: it, subnormals would lose their low bits); the upper edge keeps every
+#: bucket sum and their total far from overflow.
+_BUCKET_SUM_MIN_EXP = -1021
+_BUCKET_SUM_MAX_EXP = 960
+
+
+def _bucketed_sum_terms(arr: "np.ndarray") -> Optional[list[float]]:
+    """A short list with exactly the same real sum as finite ``arr``.
+
+    Each value is ``M * 2**(e - 53)`` with ``M = frexp mantissa * 2**53``
+    an integer below 2**53. ``M`` splits into a high half (27 bits, signed)
+    and a low half (26 bits), and the halves sum exactly per exponent with
+    ``np.bincount``. Every bucket sum is an integer below 2**53, rebuilt
+    with ``ldexp`` without rounding, so the returned terms (at most two per
+    distinct exponent) sum to the exact sum of ``arr``. ``None`` when the call is
+    empty or too large, or holds subnormals or near-overflow values; the
+    caller then sums ``arr.tolist()`` directly.
+    """
+    if not 0 < arr.size < _BUCKET_SUM_MAX_VALUES:
+        return None
+    mant, exp = np.frexp(arr)
+    lo_exp = int(exp.min())
+    hi_exp = int(exp.max())
+    if lo_exp < _BUCKET_SUM_MIN_EXP or hi_exp > _BUCKET_SUM_MAX_EXP:
+        return None
+    whole = np.ldexp(mant, 53)
+    high = np.floor(np.ldexp(whole, -26))
+    low = whole - np.ldexp(high, 26)
+    keys = exp - lo_exp
+    shifts = np.arange(hi_exp - lo_exp + 1) + lo_exp
+    terms = np.concatenate((
+        np.ldexp(np.bincount(keys, weights=high), shifts - 27),
+        np.ldexp(np.bincount(keys, weights=low), shifts - 53),
+    ))
+    result: list[float] = terms[terms != 0.0].tolist()
+    return result
+
+
 class QuantileSketch:
     """Mergeable quantile sketch with a relative-error guarantee.
 
@@ -188,11 +232,13 @@ class QuantileSketch:
 
         State-identical to calling :meth:`add` per element in order
         (parity-tested): bucket keys are computed with the same
-        ``ceil(log(|v|) / log(gamma))`` mapping, counts via
-        ``numpy.unique``, and the exact sum via iterated-``fsum``
-        extraction folded into the same Shewchuk partials. This is the
-        shard hot path: a 100k-UE sample block ingests in a handful of
-        numpy passes instead of ~2M Python-level ``add`` calls.
+        ``ceil(log(|v|) / log(gamma))`` mapping, counts via a
+        ``numpy.bincount`` over the key range, and the exact sum via
+        iterated-``fsum`` extraction (over per-exponent bucket sums, see
+        :func:`_bucketed_sum_terms`) folded into the same Shewchuk
+        partials. This is the shard hot path: a 100k-UE sample block
+        ingests in a handful of numpy passes instead of ~2M Python-level
+        ``add`` calls.
         """
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
@@ -212,8 +258,11 @@ class QuantileSketch:
             arr = arr[finite]
             if arr.size == 0:
                 return
+        terms = _bucketed_sum_terms(arr)
         try:
-            for head in _exact_chunk_heads(arr.tolist()):
+            for head in _exact_chunk_heads(
+                arr.tolist() if terms is None else terms
+            ):
                 _fold_exact(self._sum_partials, head)
         except OverflowError:  # exact intermediate exceeds float range
             self._inf_sum += math.inf if hi > 0 else -math.inf
@@ -230,8 +279,16 @@ class QuantileSketch:
             if mags.size == 0:
                 continue
             keys = np.ceil(np.log(mags) / self._log_gamma).astype(np.int64)
-            uniq, counts = np.unique(keys, return_counts=True)
-            for key, n in zip(uniq.tolist(), counts.tolist()):
+            first = int(keys.min())
+            if int(keys.max()) - first < 2 * keys.size + 4096:
+                # Counting over the key range replaces unique()'s sort.
+                counts = np.bincount(keys - first)
+                present = np.flatnonzero(counts)
+                pairs = zip((present + first).tolist(), counts[present].tolist())
+            else:  # a sparse, wide key range (tiny relative_error)
+                uniq, n_per_key = np.unique(keys, return_counts=True)
+                pairs = zip(uniq.tolist(), n_per_key.tolist())
+            for key, n in pairs:
                 bins[key] = bins.get(key, 0) + n
             while len(bins) > self.max_bins:
                 self._collapse(bins)

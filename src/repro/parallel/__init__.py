@@ -18,6 +18,7 @@ from repro.parallel.coordinator import (
     ShardedScaleScenario,
     run_shards_serial,
     run_shards_spawn,
+    shutdown_pool,
 )
 from repro.parallel.envelope import FabricBus, split_outbound
 from repro.parallel.fabric_shard import (
@@ -83,6 +84,7 @@ __all__ = [
     "run_shards_serial",
     "run_shards_spawn",
     "shard_stream",
+    "shutdown_pool",
     "split_outbound",
     "stream_key",
     "unpack_telemetry",

@@ -6,10 +6,11 @@ window-barrier protocol:
 * :func:`run_shards_serial` -- every shard runs in-process, interleaved
   window by window. No pickling, no processes; the reference executor
   for byte-identity tests and the ``workers=1`` single-process baseline.
-* :func:`run_shards_spawn` -- each shard runs in a spawned worker
-  process behind a pipe (:mod:`repro.parallel.worker`). The **spawn**
-  start method is required: a forked child would inherit the parent's
-  RNG registry and import-time state mid-run (see REPRO404).
+* :func:`run_shards_spawn` -- each shard runs on a worker of a
+  process-wide **warm pool** (:mod:`repro.parallel.worker`), one pipe per
+  worker. The **spawn** start method is required: a forked child would
+  inherit the parent's RNG registry and import-time state mid-run (see
+  REPRO404).
 
 Both executors run the identical per-barrier exchange: deliver the
 envelopes routed at the previous barrier, advance every shard to the
@@ -19,11 +20,23 @@ for delivery no earlier than the *next* barrier. Scenarios without
 cross-shard traffic (the radio scale workload) pass ``bus=None`` and the
 exchange degenerates to the plain barrier loop.
 
+Pool lifecycle: nothing starts at import or at scenario construction.
+The first spawn run starts the workers; later runs reuse them, so a
+campaign pays interpreter start-up once instead of once per run. The pool
+grows to the largest worker count any run asks for, and a run with fewer
+tasks uses the first workers. Each worker builds a fresh runner per task,
+so reuse cannot leak state from one run into the next. A lock serialises
+runs, an ``atexit`` hook closes the pool (:func:`shutdown_pool` closes it
+early), and the workers are daemon processes as the last backstop.
+
 Failure surface (tested in ``tests/parallel/test_worker_failures.py``):
 a worker that raises ships an ``("error", ...)`` message the coordinator
 re-raises with worker context; a worker that dies silently closes its
-pipe and the timed receive turns the EOF (or a stall) into a clear
-``RuntimeError`` naming the worker -- the coordinator never hangs.
+pipe, and the guarded send or timed receive turns the EOF, reset or
+stall into a clear ``RuntimeError`` naming the worker -- the coordinator
+never hangs. Any failure, ``KeyboardInterrupt`` included, discards the
+whole pool: a worker whose protocol state is unknown is never reused,
+and the next run starts a fresh pool.
 
 :class:`ShardedScaleScenario` is the sharded counterpart of
 :class:`repro.core.scale.ScaleScenario`: the same declarative population
@@ -41,9 +54,12 @@ time in a total order, and every merge is exact.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing as mp
+import threading
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Any, Optional, Sequence
 
 from repro.cspot.boundary import FabricEnvelope
@@ -114,21 +130,32 @@ def run_shards_serial(
     return results
 
 
+def _send(conn: Connection, message: tuple[Any, ...], worker: int) -> None:
+    """One guarded send; a vanished worker becomes a clear error."""
+    try:
+        conn.send(message)
+    except OSError as broken:  # BrokenPipeError, ConnectionResetError, ...
+        raise RuntimeError(
+            f"shard worker {worker} is gone (sending {message[0]!r} failed: "
+            f"{broken!r})"
+        ) from broken
+
+
 def _recv(
     conn: Connection, worker: int, timeout_s: float
 ) -> tuple[Any, ...]:
-    """One timed receive; EOF and stalls become clear errors, not hangs."""
-    if not conn.poll(timeout_s):
-        raise RuntimeError(
-            f"shard worker {worker} sent no reply within {timeout_s}s "
-            "(stalled or deadlocked)"
-        )
+    """One timed receive; EOF, resets and stalls become clear errors."""
     try:
+        if not conn.poll(timeout_s):
+            raise RuntimeError(
+                f"shard worker {worker} sent no reply within {timeout_s}s "
+                "(stalled or deadlocked)"
+            )
         message: tuple[Any, ...] = conn.recv()
-    except EOFError as eof:
+    except (EOFError, OSError) as gone:
         raise RuntimeError(
-            f"shard worker {worker} died without a reply (pipe closed)"
-        ) from eof
+            f"shard worker {worker} died without a reply ({gone!r})"
+        ) from gone
     return message
 
 
@@ -145,61 +172,114 @@ def _expect(
     return message
 
 
+@dataclass
+class _PoolWorker:
+    process: BaseProcess
+    conn: Connection
+
+
+#: The process-wide warm pool. Started lazily by the first spawn run,
+#: grown to the largest worker count asked for, reused by every later
+#: run, and discarded whole on any failure (see :func:`run_shards_spawn`).
+_POOL: list[_PoolWorker] = []
+#: Serialises runs: two threads must never interleave on the same pipes.
+_POOL_LOCK = threading.Lock()
+_ATEXIT_REGISTERED = False
+
+
+def _ensure_pool(n: int) -> list[_PoolWorker]:
+    """The first ``n`` live pool workers, spawning any that are missing."""
+    global _ATEXIT_REGISTERED
+    if any(not w.process.is_alive() for w in _POOL):
+        _discard_pool()  # a worker died while idle: start afresh
+    ctx = mp.get_context("spawn")
+    while len(_POOL) < n:
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        process = ctx.Process(
+            target=worker_main, args=(child_conn,), daemon=True
+        )
+        process.start()
+        child_conn.close()  # the worker holds its own end
+        _POOL.append(_PoolWorker(process, parent_conn))
+    if not _ATEXIT_REGISTERED:
+        atexit.register(shutdown_pool)
+        _ATEXIT_REGISTERED = True
+    return _POOL[:n]
+
+
+def _discard_pool() -> None:
+    """Kill every pool worker: after a failure, none is in a known state."""
+    workers = list(_POOL)
+    _POOL.clear()
+    for worker in workers:
+        worker.conn.close()
+    for worker in workers:
+        if worker.process.is_alive():
+            worker.process.terminate()
+        worker.process.join(timeout=5.0)
+
+
+def shutdown_pool() -> None:
+    """Close the warm worker pool gracefully; the next spawn run respawns it.
+
+    Runs automatically at interpreter exit. Call it to release the
+    workers' memory early.
+    """
+    with _POOL_LOCK:
+        workers = list(_POOL)
+        _POOL.clear()
+        for worker in workers:
+            try:
+                worker.conn.send(("close",))
+            except OSError:
+                pass  # already gone; the join below reaps it
+        for worker in workers:
+            worker.process.join(timeout=5.0)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=5.0)
+            worker.conn.close()
+
+
 def run_shards_spawn(
     tasks: Sequence[AnyTask],
     barriers: Sequence[float],
     bus: Optional[FabricBus] = None,
     timeout_s: float = DEFAULT_WORKER_TIMEOUT_S,
 ) -> tuple[list[Any], list[dict[str, Any]]]:
-    """Drive every shard in a spawned process; returns (results, timings)."""
-    ctx = mp.get_context("spawn")
-    processes: list[mp.process.BaseProcess] = []
-    pipes: list[Connection] = []
+    """Drive every shard on a warm pool worker; returns (results, timings)."""
+    n = len(tasks)
     results: list[Any] = []
     timings: list[dict[str, Any]] = []
-    n = len(tasks)
-    try:
-        for task in tasks:
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=worker_main, args=(child_conn,), daemon=True
-            )
-            process.start()
-            child_conn.close()  # the worker holds its own end
-            parent_conn.send(task)
-            processes.append(process)
-            pipes.append(parent_conn)
-        pending: list[tuple[FabricEnvelope, ...]] = [() for _ in range(n)]
-        for i, barrier_t in enumerate(barriers):
-            next_barrier_t = barriers[i + 1] if i + 1 < len(barriers) else None
+    with _POOL_LOCK:
+        try:
+            pipes = [worker.conn for worker in _ensure_pool(n)]
+            for w, (conn, task) in enumerate(zip(pipes, tasks)):
+                _send(conn, ("task", task), w)
+            pending: list[tuple[FabricEnvelope, ...]] = [() for _ in range(n)]
+            for i, barrier_t in enumerate(barriers):
+                next_barrier_t = (
+                    barriers[i + 1] if i + 1 < len(barriers) else None
+                )
+                for w, conn in enumerate(pipes):
+                    _send(conn, ("advance", barrier_t, pending[w]), w)
+                outbound: list[tuple[FabricEnvelope, ...]] = []
+                for w, conn in enumerate(pipes):
+                    reply = _expect(_recv(conn, w, timeout_s), "done", w)
+                    outbound.append(tuple(reply[3]))
+                pending = _route(bus, outbound, next_barrier_t, n)
             for w, conn in enumerate(pipes):
-                try:
-                    conn.send(("advance", barrier_t, pending[w]))
-                except (BrokenPipeError, OSError) as broken:
-                    raise RuntimeError(
-                        f"shard worker {w} is gone (send failed at barrier "
-                        f"t={barrier_t})"
-                    ) from broken
-            outbound: list[tuple[FabricEnvelope, ...]] = []
+                _send(conn, ("finish",), w)
             for w, conn in enumerate(pipes):
-                reply = _expect(_recv(conn, w, timeout_s), "done", w)
-                outbound.append(tuple(reply[3]))
-            pending = _route(bus, outbound, next_barrier_t, n)
-        for conn in pipes:
-            conn.send(("finish",))
-        for w, conn in enumerate(pipes):
-            reply = _expect(_recv(conn, w, timeout_s), "results", w)
-            results.extend(reply[1])
-            timings.append(dict(reply[2]))
-        for process in processes:
-            process.join(timeout=30.0)
-    finally:
-        for conn in pipes:
-            conn.close()
-        for process in processes:
-            if process.is_alive():  # pragma: no cover - crash cleanup
-                process.terminate()
-                process.join(timeout=5.0)
+                reply = _expect(_recv(conn, w, timeout_s), "results", w)
+                results.extend(reply[1])
+                timings.append(dict(reply[2]))
+        except BaseException:
+            # Error, EOF, timeout, protocol violation, KeyboardInterrupt:
+            # some worker's protocol state is now unknown, so none is
+            # reused. The next run respawns the pool.
+            _discard_pool()
+            raise
     return results, timings
 
 

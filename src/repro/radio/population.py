@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union, overload
 
 import numpy as np
 
@@ -121,6 +121,57 @@ class RandomVariable:
         sigma2 = float(np.log1p(v / (m * m)))
         mu = float(np.log(m)) - 0.5 * sigma2
         return np.exp(rng.normal(mu, np.sqrt(sigma2), size=n))
+
+
+class CellUeIds(Sequence[str]):
+    """The ``cell<ccc>-ue<j>`` IDs of one population cell, made on demand.
+
+    Nothing on the sampling path reads per-UE IDs, so a 5000-UE cell
+    stores ``(cell, count, width)`` instead of 5000 strings. Column ``j``
+    is zero-padded to the width of the largest column, so sorted order
+    equals column order. Compares equal to the list of the same IDs and,
+    like a list, is unhashable.
+    """
+
+    __slots__ = ("cell_index", "n", "width")
+
+    def __init__(self, cell_index: int, n: int) -> None:
+        self.cell_index = cell_index
+        self.n = n
+        self.width = len(str(max(n - 1, 1)))
+
+    def _id(self, j: int) -> str:
+        return f"cell{self.cell_index:03d}-ue{j:0{self.width}d}"
+
+    def __len__(self) -> int:
+        return self.n
+
+    @overload
+    def __getitem__(self, index: int) -> str: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[str]: ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[str, list[str]]:
+        if isinstance(index, slice):
+            return [self._id(j) for j in range(*index.indices(self.n))]
+        j = index + self.n if index < 0 else index
+        if not 0 <= j < self.n:
+            raise IndexError(f"UE column {index} out of range for {self.n} UEs")
+        return self._id(j)
+
+    def __iter__(self) -> Iterator[str]:
+        return (self._id(j) for j in range(self.n))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CellUeIds):
+            return (self.cell_index, self.n) == (other.cell_index, other.n)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CellUeIds(cell_index={self.cell_index}, n={self.n})"
 
 
 #: Device-class scalars shared by every UE of a population cell; derived
@@ -342,10 +393,8 @@ class UEPopulation:
         profile: _DeviceProfile,
     ) -> CellPopulation:
         chan = template.channel
-        width = len(str(max(n - 1, 1)))
-        ue_ids = [f"cell{cell_index:03d}-ue{j:0{width}d}" for j in range(n)]
         state = UeStateArrays.broadcast(
-            ue_ids=ue_ids,
+            ue_ids=CellUeIds(cell_index, n),
             mean_cqi=mean_cqi,
             gain=gain,
             cqi_sigma=chan.cqi_sigma,

@@ -49,7 +49,9 @@ class UeStateArrays:
     Attributes
     ----------
     ue_ids:
-        Stable identifiers, column order of every derived matrix.
+        Stable identifiers, column order of every derived matrix (a list,
+        or a lazy sequence such as a population cell's
+        :class:`~repro.radio.population.CellUeIds`).
     mean_cqi, cqi_sigma:
         Per-UE channel operating point (CQI draw parameters).
     fading_sigma:
@@ -62,7 +64,7 @@ class UeStateArrays:
         Hard uplink cap (``inf`` where uncapped). Downlink ignores it.
     """
 
-    ue_ids: list[str]
+    ue_ids: Sequence[str]
     mean_cqi: np.ndarray
     cqi_sigma: np.ndarray
     fading_sigma: np.ndarray
@@ -117,7 +119,7 @@ class UeStateArrays:
     @classmethod
     def broadcast(
         cls,
-        ue_ids: list[str],
+        ue_ids: Sequence[str],
         mean_cqi: np.ndarray,
         gain: np.ndarray,
         cqi_sigma: float,

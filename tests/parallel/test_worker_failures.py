@@ -6,8 +6,16 @@ pipe; ``"exit"`` -- the worker dies without a protocol reply
 (``SystemExit`` is not an ``Exception``, so the worker loop cannot
 convert it to an ``("error", ...)`` message and the coordinator sees the
 pipe close). Both must surface as a clear ``RuntimeError`` naming the
-worker, on both executors, within bounded time.
+worker, on both executors, within bounded time. So must a worker that
+vanishes mid-exchange: a reset connection or a failed send (the
+``finish`` send included) is an error naming the worker, never a raw
+``OSError``.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -20,6 +28,7 @@ from repro.parallel import (
     run_shards_serial,
     run_shards_spawn,
 )
+from repro.parallel.coordinator import _recv, _send
 from repro.radio.population import Distribution, RandomVariable, UEPopulation
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -140,3 +149,50 @@ class TestHealthyProtocol:
         plan, tasks = _fabric_tasks(None)
         with pytest.raises(RuntimeError, match="without a fabric bus"):
             run_shards_serial(tasks, _fabric_barriers(plan), bus=None)
+
+
+class _ResetConnection:
+    """A pipe end whose peer is gone: every operation fails like a socket."""
+
+    def poll(self, timeout):
+        return True
+
+    def recv(self):
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+    def send(self, message):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestVanishedWorker:
+    def test_reset_during_receive_names_the_worker(self):
+        with pytest.raises(RuntimeError, match="worker 3 died") as info:
+            _recv(_ResetConnection(), 3, timeout_s=1.0)
+        assert isinstance(info.value.__cause__, ConnectionResetError)
+
+    def test_failed_finish_send_names_the_worker(self):
+        with pytest.raises(RuntimeError, match="worker 2 is gone.*finish"):
+            _send(_ResetConnection(), ("finish",), 2)
+
+    def test_worker_dying_in_bootstrap_is_a_clear_error(self, tmp_path):
+        # A driver script without an ``if __name__ == "__main__"`` guard:
+        # each spawned worker re-imports it, tries to spawn again during
+        # its bootstrap and dies before reading its task, so the
+        # coordinator's receive meets a reset connection.
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            from repro.parallel import ShardedScaleScenario
+            from repro.radio.population import RandomVariable, UEPopulation
+
+            pop = UEPopulation(n_cells=2, ues_per_cell=RandomVariable(5.0))
+            ShardedScaleScenario(pop, horizon_s=20.0, workers=2).run()
+        """))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("RuntimeError: shard worker"), done.stderr

@@ -8,6 +8,7 @@ import pytest
 from repro.radio.gnb import GNodeB
 from repro.radio.population import (
     CellPopulation,
+    CellUeIds,
     Distribution,
     RandomVariable,
     UEPopulation,
@@ -164,3 +165,41 @@ class TestCellPopulation:
     def test_sampling_input_validation(self, cell: CellPopulation) -> None:
         with pytest.raises(ValueError):
             cell.uplink_matrix(np.random.default_rng(0), 0)
+
+
+class TestCellUeIds:
+    """Population UE IDs are made on demand, not stored per UE."""
+
+    @staticmethod
+    def _eager(cell_index: int, n: int) -> list[str]:
+        width = len(str(max(n - 1, 1)))
+        return [f"cell{cell_index:03d}-ue{j:0{width}d}" for j in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 1000, 1001])
+    def test_same_ids_as_the_eager_list(self, n: int) -> None:
+        ids = CellUeIds(7, n)
+        eager = self._eager(7, n)
+        assert len(ids) == n
+        assert list(ids) == eager
+        assert ids == eager and eager == ids
+        assert ids[-1] == eager[-1]
+        assert ids[1:4] == eager[1:4]
+        assert sorted(ids) == eager  # sorted order == column order
+
+    def test_out_of_range_and_equality(self) -> None:
+        ids = CellUeIds(0, 3)
+        with pytest.raises(IndexError):
+            ids[3]
+        with pytest.raises(IndexError):
+            ids[-4]
+        assert ids == CellUeIds(0, 3)
+        assert ids != CellUeIds(1, 3)
+        assert ids != ["cell000-ue0"]
+
+    def test_population_cells_store_lazy_ids(self) -> None:
+        cells = UEPopulation(
+            n_cells=3, ues_per_cell=RandomVariable(12.0, Distribution.CONSTANT)
+        ).realize(RngRegistry(5))
+        for k, cell in enumerate(cells):
+            assert isinstance(cell.state.ue_ids, CellUeIds)
+            assert [ue.ue_id for ue in cell.materialize(5)] == self._eager(k, 12)[:5]
